@@ -100,7 +100,7 @@ let rpc_storage_or_replica env fid msg =
   | Some dst -> Kernel.rpc env.cl ~src:(site env) ~dst msg
   | None -> rpc_storage env fid msg
 
-(* Lock operations go to the current lock authority (§5.2 delegation, or
+(* Lock operations go to the current lock authority (the storage site, or
    the locus_shard lock-manager role): start from the hint, follow
    redirects, fall back to the storage site. Under dynamic placement a
    stale hint may also bounce ([R_retry], e.g. mid-migration or an

@@ -7,6 +7,10 @@ type log_record = { idx : int; tag : string; payload : string; mutable live : bo
    submitting fiber once the force has landed. *)
 type group_item = { work : unit -> unit; done_ : unit Engine.Ivar.t }
 
+(* A pinned slot stays allocated while [refs] > 0; [freed] records a
+   free that arrived meanwhile and is carried out at the last unpin. *)
+type pin = { mutable refs : int; mutable freed : bool }
+
 type t = {
   engine : Engine.t;
   vid : int;
@@ -15,6 +19,7 @@ type t = {
   inodes : (int, inode) Hashtbl.t;  (* non-volatile inode table *)
   mutable next_page : int;
   mutable free_pages : int list;
+  pins : (int, pin) Hashtbl.t;  (* slots named by prepared intentions *)
   mutable next_inode : int;
   mutable log : log_record list;  (* newest first *)
   mutable next_log_idx : int;
@@ -37,6 +42,7 @@ let create engine ~vid ?(page_size = 1024) () =
     inodes = Hashtbl.create 64;
     next_page = 0;
     free_pages = [];
+    pins = Hashtbl.create 16;
     next_inode = 1;
     log = [];
     next_log_idx = 0;
@@ -73,7 +79,26 @@ let alloc_page t =
     t.next_page <- t.next_page + 1;
     p
 
-let free_page t p = t.free_pages <- p :: t.free_pages
+let free_page t p =
+  match Hashtbl.find_opt t.pins p with
+  | Some pin -> pin.freed <- true
+  | None -> t.free_pages <- p :: t.free_pages
+
+let pin_page t p =
+  match Hashtbl.find_opt t.pins p with
+  | Some pin -> pin.refs <- pin.refs + 1
+  | None -> Hashtbl.replace t.pins p { refs = 1; freed = false }
+
+let unpin_page t p =
+  match Hashtbl.find_opt t.pins p with
+  | None -> ()
+  | Some pin ->
+    pin.refs <- pin.refs - 1;
+    if pin.refs = 0 then begin
+      Hashtbl.remove t.pins p;
+      if pin.freed then t.free_pages <- p :: t.free_pages
+    end
+
 let pages_in_use t = t.next_page - List.length t.free_pages
 
 let blank t = Bytes.make t.page_size '\000'

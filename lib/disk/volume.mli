@@ -40,6 +40,16 @@ val alloc_page : t -> int
     becomes durable only when the inode pointing at the page is written). *)
 
 val free_page : t -> int -> unit
+(** Return a slot to the free list — deferred to the last {!unpin_page}
+    while the slot is pinned. *)
+
+val pin_page : t -> int -> unit
+(** Keep a slot from being reused while something still names it by
+    number (a prepared intention's base slot): a {!free_page} meanwhile
+    only takes effect once every pin is released. Pins count. *)
+
+val unpin_page : t -> int -> unit
+(** Release one pin; no-op on an unpinned slot. *)
 
 val pages_in_use : t -> int
 (** Allocated and not yet freed — for storage-leak checks: after all

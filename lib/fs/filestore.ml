@@ -416,6 +416,19 @@ let owner_extent f owner =
   | Some e -> e
   | None -> 0
 
+(* The Figure 4(a) direct swap trusts [cur_slot = base_slot], a
+   comparison of slot numbers: a sole page's base slot is therefore pinned
+   from prepare until the intention commits or aborts, so it cannot be
+   freed and handed out again in between. *)
+let pins_base (p : Intentions.page_commit) = p.sole && p.base_slot <> -1
+
+(* Give up a pending intention: its shadow slots and its base pins. *)
+let discard_intention vol (it : Intentions.t) =
+  List.iter (Volume.free_page vol) (Intentions.slots it);
+  List.iter
+    (fun p -> if pins_base p then Volume.unpin_page vol p.Intentions.base_slot)
+    it.Intentions.pages
+
 let prepare t fid ~owner =
   let f = get_exn t fid in
   let dirty =
@@ -440,13 +453,17 @@ let prepare t fid ~owner =
           Range_set.ranges (owner_ranges ps owner)
           |> List.map (fun r -> (Byte_range.lo r, Byte_range.len r))
         in
-        {
-          Intentions.index;
-          slot;
-          base_slot = committed_slot f.inode index;
-          ranges;
-          sole;
-        })
+        let p =
+          {
+            Intentions.index;
+            slot;
+            base_slot = committed_slot f.inode index;
+            ranges;
+            sole;
+          }
+        in
+        if pins_base p then Volume.pin_page f.vol p.Intentions.base_slot;
+        p)
       dirty
   in
   let new_size =
@@ -495,7 +512,7 @@ let commit_prepared_locked t (it : Intentions.t) =
       a
     end
   in
-  let freed = ref [] in
+  let freed = ref [] and unpinned = ref [] in
   List.iter
     (fun (p : Intentions.page_commit) ->
       let cur_slot = pages.(p.index) in
@@ -503,6 +520,7 @@ let commit_prepared_locked t (it : Intentions.t) =
         (* Duplicate commit message (§4.4): already applied, nothing to do. *)
         Stats.incr (stats t) "commit.dup"
       else begin
+        if pins_base p then unpinned := p.base_slot :: !unpinned;
         if p.sole && cur_slot = p.base_slot then begin
           (* Figure 4(a): the flushed shadow is the whole new page. *)
           Stats.incr (stats t) "commit.direct";
@@ -544,6 +562,7 @@ let commit_prepared_locked t (it : Intentions.t) =
   in
   Volume.write_inode vol new_inode;
   List.iter (Volume.free_page vol) !freed;
+  List.iter (Volume.unpin_page vol) !unpinned;
   match in_core with
   | None -> ()
   | Some f ->
@@ -556,7 +575,7 @@ let abort_prepared t (it : Intentions.t) =
   let vol = vol_exn t it.Intentions.fid in
   (* Only safe when the intentions were never applied: recovery guarantees
      this by consulting the coordinator log outcome first. *)
-  List.iter (Volume.free_page vol) (Intentions.slots it);
+  discard_intention vol it;
   match Hashtbl.find_opt t.files it.Intentions.fid with
   | None -> ()
   | Some f ->
@@ -573,8 +592,7 @@ let abort_locked t fid ~owner =
     (* Free any shadow slots this owner had already flushed at prepare. *)
     List.iter
       (fun it ->
-        if Owner.equal it.Intentions.owner owner then
-          List.iter (Volume.free_page f.vol) (Intentions.slots it))
+        if Owner.equal it.Intentions.owner owner then discard_intention f.vol it)
       f.prepared;
     f.prepared <-
       List.filter (fun it -> not (Owner.equal it.Intentions.owner owner)) f.prepared;

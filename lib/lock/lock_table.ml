@@ -237,6 +237,12 @@ let retained_ranges t owner =
 
 let waiting t = List.length (List.filter (fun w -> not w.w_cancelled) t.waiters)
 
+let involves t owner =
+  List.exists (fun l -> Owner.equal l.owner owner) t.locks
+  || List.exists
+       (fun w -> (not w.w_cancelled) && Owner.equal w.w_owner owner)
+       t.waiters
+
 (* A table may ride a transfer envelope only when no waiter would be
    stranded: waiter callbacks are site-local closures, so [restore] on
    the receiving side necessarily drops them. *)

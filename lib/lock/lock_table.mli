@@ -103,6 +103,9 @@ val holders : t -> range:Byte_range.t -> Owner.t list
 val retained_ranges : t -> Owner.t -> Byte_range.t list
 val waiting : t -> int
 
+val involves : t -> Owner.t -> bool
+(** Does the owner hold a lock here or wait for one? *)
+
 val transferable : t -> bool
 (** May this table ride a transfer envelope right now? True iff it has no
     live waiters — waiter callbacks are site-local and would be stranded

@@ -1,7 +1,7 @@
 (* Migration policy: when does the lock-manager role chase the traffic?
    [Threshold n] moves it to a remote site after [n] consecutive
-   acquisitions from that site (the same streak rule as §5.2 delegation,
-   but with an epoch-fenced transfer instead of a recallable loan);
+   acquisitions from that site (§5.2: a storage site hands its ability
+   to manage a file's locks to a heavy user, by epoch-fenced transfer);
    [Never] pins ownership at the default placement — the bench's "off"
    row and a safe choice for uniformly spread traffic. *)
 

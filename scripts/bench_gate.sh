@@ -6,9 +6,11 @@
 #
 #   1. Baseline comparison: every metric's p50 virtual latency must stay
 #      within TOLERANCE_PCT of the committed bench/baselines/ copy, and
-#      throughput must not fall more than TOLERANCE_PCT below it. The
-#      simulation is deterministic, so drift means the commit changed
-#      the protocol's work — refresh the baseline deliberately (see
+#      throughput must not fall more than TOLERANCE_PCT below it. Every
+#      other field of every row must equal the baseline exactly, except
+#      the host wall-clock fields (HOST_FIELDS). The simulation is
+#      deterministic, so any drift means the commit changed the
+#      protocol's work — refresh the baseline deliberately (see
 #      HACKING.md) if the change is intended.
 #
 #   2. e16 self-contained ratios: with a non-zero batch window the run
@@ -71,6 +73,8 @@ MAX_ALARM_WINDOWS=${MAX_ALARM_WINDOWS:-2}
 # the ~25x collapse LOCUS_BREAK_LOAD=1 inflicts.
 MIN_WALL_EPS=${MIN_WALL_EPS:-100000}
 BASELINES=${BASELINES:-bench/baselines}
+# Machine-dependent fields, exempt from the exact baseline comparison.
+HOST_FIELDS='["wall_s", "events_per_sec_wall"]'
 EXPS=("${@:-e4 e15 e16 e17 e18 e19 e20 e21}")
 [ $# -eq 0 ] && EXPS=(e4 e15 e16 e17 e18 e19 e20 e21)
 
@@ -84,6 +88,8 @@ bad() {
 
 compare_baseline() {
   local exp=$1 cur=BENCH_$1.json base=$BASELINES/BENCH_$1.json
+  local failed_before=$fail
+  fail=0
   if [ ! -f "$cur" ]; then
     bad "$cur missing (did the bench run?)"
     return
@@ -115,8 +121,21 @@ compare_baseline() {
         '$c * 100 >= $b * (100 - $t)' | grep -q true; then
       bad "$exp '$label': throughput $cops ops/s vs baseline $bops (-${TOLERANCE_PCT}% floor)"
     fi
+    # Everything else is deterministic: exact equality.
+    local drift
+    drift=$(jq -rn --slurpfile b "$base" --slurpfile c "$cur" --arg l "$label" \
+        --argjson host "$HOST_FIELDS" '
+      def row(f): f[0].metrics[] | select(.label == $l)
+        | with_entries(select(.key as $k | $host | index($k) | not));
+      row($b) as $x | row($c) as $y
+      | [($x + $y) | keys[] | select($x[.] != $y[.])
+         | "\(.) \($y[.]) vs baseline \($x[.])"]
+      | join(", ")')
+    [ -z "$drift" ] || bad "$exp '$label': $drift"
   done <<<"$labels"
-  note "gate: $exp within ${TOLERANCE_PCT}% of baseline"
+  [ "$fail" -ne 0 ] ||
+    note "gate: $exp matches baseline (p50/ops within ${TOLERANCE_PCT}%, the rest exact)"
+  fail=$((fail | failed_before))
 }
 
 check_e16_ratios() {

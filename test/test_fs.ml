@@ -221,6 +221,28 @@ let test_two_prepared_commit_either_order () =
       Alcotest.(check string) "tx2 bytes" "2222" b)
     [ `Forward; `Backward ]
 
+let test_prepared_base_slot_not_reused () =
+  (* tx1 prepares alone on the page (a direct-swap candidate). tx2's merge
+     then moves the page off tx1's base slot, and tx3's shadow must not
+     get that slot back: if it did, the page would sit on tx1's base slot
+     number again and tx1's commit would swap its stale shadow in,
+     dropping tx2's and tx3's committed records. *)
+  in_store ~page_size:64 (fun _e store _vol ->
+      let fid = FS.create_file store ~vid:1 in
+      FS.open_file store fid;
+      wr store fid (tx 0) 0 (String.make 64 '\000');
+      ignore (FS.commit store fid ~owner:(tx 0));
+      wr store fid (tx 1) 48 "tx1!";
+      let i1 = FS.prepare store fid ~owner:(tx 1) in
+      wr store fid (tx 2) 0 "tx2!";
+      ignore (FS.commit store fid ~owner:(tx 2));
+      wr store fid (tx 3) 16 "tx3!";
+      ignore (FS.commit store fid ~owner:(tx 3));
+      FS.commit_prepared store i1;
+      Alcotest.(check string) "tx2 survives" "tx2!" (rdc store fid 0 4);
+      Alcotest.(check string) "tx3 survives" "tx3!" (rdc store fid 16 4);
+      Alcotest.(check string) "tx1 committed" "tx1!" (rdc store fid 48 4))
+
 let test_prepare_crash_recover_commit () =
   (* Volatile state dies; the flushed shadow pages + intentions survive and
      commit_prepared completes from the log. *)
@@ -343,6 +365,8 @@ let suite =
         Alcotest.test_case "commit idempotent" `Quick test_commit_prepared_idempotent;
         Alcotest.test_case "prepared either order" `Quick
           test_two_prepared_commit_either_order;
+        Alcotest.test_case "prepared base slot not reused" `Quick
+          test_prepared_base_slot_not_reused;
         Alcotest.test_case "prepare, crash, commit" `Quick
           test_prepare_crash_recover_commit;
         Alcotest.test_case "prepare, crash, abort" `Quick test_prepare_crash_abort;

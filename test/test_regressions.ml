@@ -232,3 +232,59 @@ let suite =
             test_gate_survives_killed_waiters;
         ] );
     ]
+
+(* Bug 8: the storage site's crash sweep gathered orphaned transactions
+   from lock holders only. A request queued by a transaction whose site
+   then crashed was never cancelled, and was granted to the dead
+   transaction once the holder committed — a lock held forever. Found on
+   the failover-open benchmark workload (seed 7). *)
+let test_crashed_site_waiter_not_granted () =
+  let sim = L.make ~n_sites:3 () in
+  let cl = sim.L.cluster in
+  let lock16 env c =
+    Api.seek env c ~pos:0;
+    match Api.lock env c ~len:16 ~mode:M.Exclusive () with
+    | Api.Granted -> ()
+    | Api.Conflict _ -> Alcotest.fail "lock"
+  in
+  ignore
+    (Api.spawn_process cl ~site:1 ~name:"holder" (fun env ->
+         let c = Api.creat env "/f" ~vid:0 in
+         Api.write_string env c (String.make 32 'x');
+         Api.commit_file env c;
+         Api.begin_trans env;
+         lock16 env c;
+         E.sleep 4_000_000;
+         ignore (Api.end_trans env);
+         Api.close env c));
+  ignore
+    (Api.spawn_process cl ~site:2 ~name:"waiter" (fun env ->
+         E.sleep 1_000_000;
+         let c = Api.open_file env "/f" in
+         Api.begin_trans env;
+         lock16 env c;
+         ignore (Api.end_trans env)));
+  ignore
+    (Api.spawn_process cl ~site:0 ~name:"chaos" (fun _ ->
+         E.sleep 2_000_000;
+         K.crash_site cl 2));
+  L.run sim;
+  let held =
+    match K.lookup cl "/f" with
+    | Some fid -> (
+      match K.lock_table (K.kernel cl 0) fid with
+      | Some t -> Locus_lock.Lock_table.lock_count t
+      | None -> 0)
+    | None -> -1
+  in
+  Alcotest.(check int) "no lock left to the crashed site's waiter" 0 held
+
+let suite =
+  suite
+  @ [
+      ( "regressions.orphans",
+        [
+          Alcotest.test_case "crashed site's waiter not granted" `Quick
+            test_crashed_site_waiter_not_granted;
+        ] );
+    ]
