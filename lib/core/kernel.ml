@@ -1902,6 +1902,26 @@ let ss_abort2 k ~txid ~files =
         then shard_release k fid ~owner ~cancel:true)
       (List.sort_uniq File_id.compare (files @ prepared_before))
 
+(* Release every lock the transaction holds on [fids] — at the end of a
+   committed phase 2, or at once for a read-only participant. Under
+   dynamic placement the locks may live at a migrated-to owner. *)
+let release_txn_locks k ~owner fids =
+  with_span k ~cat:"lock" "lock.release" @@ fun () ->
+  List.iter
+    (fun fid ->
+      match lock_table k fid with
+      | Some table -> Lock_table.release_owner table owner
+      | None -> ())
+    fids;
+  if sharded k.cl then
+    List.iter
+      (fun fid ->
+        if
+          (not (Hashtbl.mem k.shard_owned fid))
+          || Hashtbl.mem k.shard_migrating fid
+        then shard_release k fid ~owner ~cancel:false)
+      fids
+
 let ss_commit2 k ~txid ~files =
   tr k Trace.Txn "phase2 commit %a" Txid.pp txid;
   leave_doubt k txid;
@@ -1923,21 +1943,7 @@ let ss_commit2 k ~txid ~files =
   if k.cl.cfg.Config.rpc_batch_window_us > 0 then
     par_iter k ~name:"repl-commit2" (List.map propagate intentions)
   else List.iter (fun it -> propagate it ()) intentions;
-  with_span k ~cat:"lock" "lock.release" @@ fun () ->
-  List.iter
-    (fun fid ->
-      match lock_table k fid with
-      | Some table -> Lock_table.release_owner table owner
-      | None -> ())
-    (List.sort_uniq File_id.compare (files @ prepared));
-  if sharded k.cl then
-    List.iter
-      (fun fid ->
-        if
-          (not (Hashtbl.mem k.shard_owned fid))
-          || Hashtbl.mem k.shard_migrating fid
-        then shard_release k fid ~owner ~cancel:false)
-      (List.sort_uniq File_id.compare (files @ prepared))
+  release_txn_locks k ~owner (List.sort_uniq File_id.compare (files @ prepared))
 
 (* {1 Paxos Commit (Gray & Lamport)}
 
@@ -2175,11 +2181,12 @@ let commit_transaction k (txn : Txn_state.txn) =
                               participants;
                             })
                      with
-                     | Msg.R_vote v -> v
-                     | _ -> false
+                     | Msg.R_vote true -> `Prepared
+                     | Msg.R_read_only -> `Read_only
+                     | _ -> `No
                    in
                    ignore (Engine.try_fill k.engine iv vote)));
-            iv)
+            ((s, fs), iv))
           by_site
       in
       (* Decision phase, timed separately ([commit.decide]) so latency to
@@ -2188,8 +2195,10 @@ let commit_transaction k (txn : Txn_state.txn) =
         with_span k ~cat:"txn" "commit.decide" @@ fun () ->
         let all_prepared =
           with_span k ~cat:"txn" "2pc.votes" (fun () ->
-              List.for_all (fun iv -> Engine.await iv) votes)
+              List.for_all (fun (_, iv) -> Engine.await iv <> `No) votes)
         in
+        let voted_read_only (_, iv) = Engine.Ivar.peek iv = Some `Read_only in
+        let read_only = all_prepared && List.for_all voted_read_only votes in
         (* [Some committed] is the decision; [None] means the outcome is
            not determinable right now (Paxos only: too few acceptors
            reachable). Under Paxos Commit a failed or missing vote does
@@ -2214,15 +2223,30 @@ let commit_transaction k (txn : Txn_state.txn) =
         (match decision with
         | None -> ()
         | Some committed ->
-          if not committed then count_abort cl Degraded_vote;
-          (* Step 4: writing the mark is the commit (or abort) point. *)
-          with_span k ~cat:"txn" "commit.force"
-            ~args:[ ("status", if committed then "committed" else "aborted") ]
-            (fun () ->
-              Coord_log.decide k.coord ~txid
-                (if committed then Log_record.Committed else Log_record.Aborted));
+          if read_only then
+            (* Every participant only read: nothing anywhere depends on
+               the outcome, so there is no commit point to force and no
+               phase 2 to wait for. The record goes before anything can
+               crash us. *)
+            Coord_log.finished k.coord ~txid
+          else begin
+            if not committed then count_abort cl Degraded_vote;
+            (* Step 4: writing the mark is the commit (or abort) point. *)
+            with_span k ~cat:"txn" "commit.force"
+              ~args:[ ("status", if committed then "committed" else "aborted") ]
+              (fun () ->
+                Coord_log.decide k.coord ~txid
+                  (if committed then Log_record.Committed else Log_record.Aborted))
+          end;
           Stats.hist (stats k) "commit.decide_us" (Engine.now k.engine - t0));
-        decision
+        (* Read-only participants released their locks at prepare and
+           keep no state: phase 2 goes to everyone else. *)
+        let phase2_sites =
+          List.filter_map
+            (fun v -> if voted_read_only v then None else Some (fst v))
+            votes
+        in
+        Option.map (fun d -> (d, phase2_sites)) decision
       in
       match decision with
       | None ->
@@ -2233,7 +2257,7 @@ let commit_transaction k (txn : Txn_state.txn) =
         tr k Trace.Txn "2pc undecided %a (acceptor quorum unreachable)" Txid.pp
           txid;
         Aborted
-      | Some all_prepared ->
+      | Some (all_prepared, phase2_sites) ->
       let status : Log_record.status =
         if all_prepared then Log_record.Committed else Log_record.Aborted
       in
@@ -2246,21 +2270,25 @@ let commit_transaction k (txn : Txn_state.txn) =
       let p2ctx = wire_ctx cl in
       let phase2 () =
         with_span k ?parent:p2ctx ~cat:"txn" "2pc.phase2" @@ fun () ->
+        (* The sends run in their own fibers: carry this span's context
+           explicitly so each participant's handler grafts under it. *)
+        let ctx = wire_ctx cl in
         let all_acked = ref true in
-        List.iter
-          (fun (s, fs) ->
-            let msg =
-              if all_prepared then Msg.Commit_phase2 { txid; files = fs }
-              else Msg.Abort_phase2 { txid; files = fs }
-            in
-            match
-              rpc_retry_batched_p cl cl.cfg.Config.retries.Config.phase2
-                ~retry_if:(fun r -> r <> Msg.R_ok)
-                ~src:k.site ~dst:s (envelope cl msg)
-            with
-            | Ok Msg.R_ok -> ()
-            | Ok _ | Error _ -> all_acked := false)
-          by_site;
+        par_iter k ~name:"2pc-phase2-send"
+          (List.map
+             (fun (s, fs) () ->
+               let msg =
+                 if all_prepared then Msg.Commit_phase2 { txid; files = fs }
+                 else Msg.Abort_phase2 { txid; files = fs }
+               in
+               match
+                 rpc_retry_batched_p cl cl.cfg.Config.retries.Config.phase2
+                   ~retry_if:(fun r -> r <> Msg.R_ok)
+                   ~src:k.site ~dst:s (Msg.envelope ?ctx msg)
+               with
+               | Ok Msg.R_ok -> ()
+               | Ok _ | Error _ -> all_acked := false)
+             phase2_sites);
         (* The coordinator log is retained until commit/abort processing
            has completed everywhere (§4.4). *)
         if !all_acked then begin
@@ -2268,9 +2296,13 @@ let commit_transaction k (txn : Txn_state.txn) =
           pcommit_forget k ~txid
         end
       in
-      if cl.cfg.Config.async_phase2 then
-        ignore (Engine.spawn ~name:"2pc-phase2" ~site:k.site k.engine phase2)
-      else phase2 ();
+      (* With every participant read-only the record is already gone;
+         only Paxos Commit still has acceptor registrations to forget. *)
+      if phase2_sites <> [] || paxos_f cl <> None then begin
+        if cl.cfg.Config.async_phase2 then
+          ignore (Engine.spawn ~name:"2pc-phase2" ~site:k.site k.engine phase2)
+        else phase2 ()
+      end;
       if all_prepared then Committed else Aborted
   in
   txn.Txn_state.phase <- Txn_state.Finished;
@@ -2853,18 +2885,20 @@ let rec handle_msg k ~src msg =
         R_ok
       | Prepare { txid; coordinator_site; files; participants } ->
         Stats.incr (stats k) "2pc.prepares";
-        let vote =
+        let prepared =
           try
             (* A degraded primary cannot version the updates correctly
                yet: vote no rather than risk a divergent history. *)
             List.iter (ensure_writable k) files;
             (* Steps 2-3 (Figure 5): flush the dirty pages and force the
                prepare log — the participant's point of no return. *)
-            with_span k ~cat:"txn" "prepare.force" (fun () ->
-                Participant.prepare k.participant ~txid ~coordinator_site
-                  ~files)
-          with _ -> false
+            Some
+              (with_span k ~cat:"txn" "prepare.force" (fun () ->
+                   Participant.prepare k.participant ~txid ~coordinator_site
+                     ~files))
+          with _ -> None
         in
+        let vote = prepared <> None in
         (* Paxos Commit phase 2a: the vote only counts once an acceptor
            quorum has registered it — including a No vote, so that the
            abort is as learnable after a coordinator crash as a commit. *)
@@ -2886,8 +2920,15 @@ let rec handle_msg k ~src msg =
                    (fun () -> pcommit_resolve k ~txid ~f));
             v
         in
+        (* A read-only participant has nothing to commit or undo: its
+           locks go now, not at phase 2, and the coordinator sends it no
+           phase 2. Under Paxos Commit its Prepared vote is registered
+           at the acceptors above like any other, so the decision rule
+           is unchanged. *)
+        let read_only = vote && prepared = Some Participant.Read_only in
+        if read_only then release_txn_locks k ~owner:(Owner.Transaction txid) files;
         k.cl.hooks.on_participant_prepared k.site txid vote;
-        R_vote vote
+        if read_only then R_read_only else R_vote vote
       | Commit_phase2 { txid; files } ->
         (* Applying phase 2 before the participant pass rebuilt prepared
            state would ack a no-op — and let the coordinator forget a

@@ -126,6 +126,7 @@ type reply =
   | R_owner of { owner : int; epoch : int; prev : int }
   | R_pieces of Byte_range.t list
   | R_vote of bool
+  | R_read_only
   | R_vote_2b of bool
   | R_decision of { participants : int list; votes : (int * bool) list }
   | R_outcome of Log_record.status option
@@ -266,6 +267,7 @@ let rec pp_reply ppf = function
     Fmt.pf ppf "owner(site%d e%d from site%d)" owner epoch prev
   | R_pieces rs -> Fmt.pf ppf "pieces(%d)" (List.length rs)
   | R_vote v -> Fmt.pf ppf "vote(%b)" v
+  | R_read_only -> Fmt.string ppf "read-only"
   | R_vote_2b v -> Fmt.pf ppf "vote-2b(%b)" v
   | R_decision { votes; _ } -> Fmt.pf ppf "decision(%d votes)" (List.length votes)
   | R_outcome o ->

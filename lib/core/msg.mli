@@ -216,6 +216,9 @@ type reply =
       (** the sub-ranges a momentary [Ensure_lock] actually granted (the
           uncovered pieces) — exactly what [Release_locks] must return *)
   | R_vote of bool
+  | R_read_only
+      (** a yes vote from a participant with nothing to commit: it has
+          already released the transaction's locks and needs no phase 2 *)
   | R_vote_2b of bool
       (** the value registered for the offered instance (the offerer's own
           vote iff it won the first-writer race) *)

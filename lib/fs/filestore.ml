@@ -471,7 +471,9 @@ let prepare t fid ~owner =
     else max f.inode.Volume.size (owner_extent f owner)
   in
   let it = { Intentions.fid; owner; new_size; pages } in
-  f.prepared <- it :: f.prepared;
+  (* An owner that only read the file has nothing to commit or undo:
+     keeping its empty intention would pin the file in core forever. *)
+  if pages <> [] then f.prepared <- it :: f.prepared;
   it
 
 (* Clean up an owner's volatile bookkeeping after its update committed:

@@ -81,17 +81,27 @@ let request t ~owner ~pid ~mode ~range ~non_transaction =
     `Granted
   | blockers -> `Conflict (List.sort_uniq Owner.compare blockers)
 
-(* A pending earlier waiter blocks a later one on an overlapping range with
-   an incompatible mode (different owner): no overtaking on contended
-   records, which prevents writer starvation. *)
-let blocked_by_earlier earlier w =
-  List.exists
-    (fun e ->
-      (not e.w_cancelled)
-      && (not (Owner.equal e.w_owner w.w_owner))
-      && Byte_range.overlaps e.w_range w.w_range
-      && not (Mode.compatible e.w_mode w.w_mode))
-    earlier
+(* A pending earlier waiter [e] blocks a later request [w] on an
+   overlapping range with an incompatible mode (different owner): no
+   overtaking on contended records, which prevents writer starvation.
+   Conversion first (Gray): [e] does not block [w] when [w]'s owner
+   already holds a lock [e] is itself blocked on — T1 holding S(r) and
+   asking X(r) behind a queued X(r) of T2 would otherwise deadlock with
+   T2, which can only be granted once T1 finishes. *)
+let waiter_blocks t e w =
+  (not e.w_cancelled)
+  && (not (Owner.equal e.w_owner w.w_owner))
+  && Byte_range.overlaps e.w_range w.w_range
+  && (not (Mode.compatible e.w_mode w.w_mode))
+  && not
+       (List.exists
+          (fun l ->
+            Owner.equal l.owner w.w_owner
+            && Byte_range.overlaps l.range e.w_range
+            && not (Mode.compatible l.mode e.w_mode))
+          t.locks)
+
+let blocked_by_earlier t earlier w = List.exists (fun e -> waiter_blocks t e w) earlier
 
 let pump t =
   let rec go earlier_pending = function
@@ -100,7 +110,7 @@ let pump t =
       if w.w_cancelled then go earlier_pending rest
       else if
         conflicts_with_locks t ~owner:w.w_owner ~mode:w.w_mode ~range:w.w_range = []
-        && not (blocked_by_earlier earlier_pending w)
+        && not (blocked_by_earlier t earlier_pending w)
       then begin
         install t ~owner:w.w_owner ~pid:w.w_pid ~mode:w.w_mode ~range:w.w_range
           ~non_transaction:w.w_non_transaction;
@@ -259,14 +269,7 @@ let waits_for t =
         in
         let waiter_blockers =
           List.filter_map
-            (fun e ->
-              if
-                (not e.w_cancelled)
-                && (not (Owner.equal e.w_owner w.w_owner))
-                && Byte_range.overlaps e.w_range w.w_range
-                && not (Mode.compatible e.w_mode w.w_mode)
-              then Some e.w_owner
-              else None)
+            (fun e -> if waiter_blocks t e w then Some e.w_owner else None)
             earlier
         in
         let blockers = List.sort_uniq Owner.compare (lock_blockers @ waiter_blockers) in

@@ -17,7 +17,10 @@
       (§3.4); unlock by a non-transaction process releases it;
     - waiters are served in request order, but a waiter may overtake an
       earlier one whose requested range does not overlap or whose mode is
-      compatible. *)
+      compatible, and a conversion is served first: a waiter never waits
+      behind an earlier one that is itself blocked on a lock the later
+      waiter's owner holds (T1 holds S(r), T2 waits for X(r), T1 asks
+      X(r)). {!waits_for} reports exactly the edges the queue enforces. *)
 
 type t
 

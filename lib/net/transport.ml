@@ -64,6 +64,16 @@ type ('req, 'resp) t = {
      overtakes (a jittered copy only "reorders" if something sent later
      will arrive before it). *)
   reorder_mark : (Site.t * Site.t, int) Hashtbl.t;
+  (* Remote calls awaiting their reply, by call number: a topology change
+     fails the ones it cut off instead of leaving them to the timeout. *)
+  inflight : (int, 'resp inflight) Hashtbl.t;
+  mutable next_call : int;
+}
+
+and 'resp inflight = {
+  c_src : Site.t;
+  c_dst : Site.t;
+  c_reply : ('resp, error) result Engine.Ivar.t;
 }
 
 let default_rpc_timeout_us = 30_000_000
@@ -102,6 +112,8 @@ let create ?latency_us ?(rpc_timeout_us = default_rpc_timeout_us) engine ~n_site
     fault_prng = None;
     fault_watchers = [];
     reorder_mark = Hashtbl.create 16;
+    inflight = Hashtbl.create 64;
+    next_call = 0;
   }
 
 let engine t = t.engine
@@ -120,7 +132,27 @@ let reachable t a b =
   let sa = state t a and sb = state t b in
   sa.up && sb.up && (a = b || sa.group = sb.group)
 
-let notify_topology t = List.iter (fun f -> f ()) (List.rev t.topology_watchers)
+(* Topology-change detection (DESIGN §2) reaches calls in flight: one
+   whose destination is no longer reachable from its source fails now
+   with [Timeout] rather than after [rpc_timeout_us], since its request
+   or its reply would be dropped anyway. A call whose source itself went
+   down is only forgotten — its fiber died with the site. *)
+let fail_cut_calls t =
+  let cut = ref [] in
+  Hashtbl.filter_map_inplace
+    (fun id c ->
+      if reachable t c.c_src c.c_dst then Some c
+      else begin
+        if (state t c.c_src).up then cut := (id, c) :: !cut;
+        None
+      end)
+    t.inflight;
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) !cut
+  |> List.iter (fun (_, c) -> ignore (Engine.try_fill t.engine c.c_reply (Error Timeout)))
+
+let notify_topology t =
+  fail_cut_calls t;
+  List.iter (fun f -> f ()) (List.rev t.topology_watchers)
 
 let crash t s =
   let st = state t s in
@@ -265,15 +297,18 @@ let rpc t ~src ~dst req =
     stats_incr t "net.msg";
     Engine.consume t.engine ~instr:costs.Costs.msg_cpu_instr;
     let reply = Engine.Ivar.create () in
+    let id = t.next_call in
+    t.next_call <- id + 1;
+    Hashtbl.replace t.inflight id { c_src = src; c_dst = dst; c_reply = reply };
     deliver t ~src ~dst (fun () ->
         run_handler t ~src ~dst req ~on_reply:(fun resp ->
             stats_incr t "net.msg";
             Engine.consume t.engine ~instr:costs.Costs.msg_cpu_instr;
             deliver t ~src:dst ~dst:src (fun () ->
-                ignore (Engine.try_fill t.engine reply resp))));
-    match Engine.await_timeout reply ~timeout:t.rpc_timeout_us with
-    | Some resp -> Ok resp
-    | None -> Error Timeout
+                ignore (Engine.try_fill t.engine reply (Ok resp)))));
+    let r = Engine.await_timeout reply ~timeout:t.rpc_timeout_us in
+    Hashtbl.remove t.inflight id;
+    match r with Some r -> r | None -> Error Timeout
   end
 
 (* Flush one coalesced batch for a (src, dst) pair. A singleton avoids the

@@ -64,7 +64,10 @@ val rpc :
 (** Send a request and await the reply. Charges send/receive CPU per the
     cost model and one-way latency each direction. A request to the local
     site still goes through the handler but skips the wire (no latency, no
-    message counters) — matching the paper's local/remote asymmetry. *)
+    message counters) — matching the paper's local/remote asymmetry.
+    [Error Timeout] comes after [rpc_timeout_us] without a reply, or at
+    once when a crash or partition leaves [dst] unreachable from [src]
+    while the call is in flight. *)
 
 val rpc_retry :
   ?attempts:int ->

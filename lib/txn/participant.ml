@@ -38,6 +38,8 @@ let coordinator_of t txid = find t txid |> Option.map (fun e -> e.coordinator_si
 let remove t txid =
   t.prepared <- List.filter (fun (tx, _) -> not (Txid.equal tx txid)) t.prepared
 
+type vote = Prepared | Read_only
+
 let prepare t ~txid ~coordinator_site ~files =
   let owner = Owner.Transaction txid in
   (* Flush this transaction's dirty pages on each locally stored file; a
@@ -96,8 +98,11 @@ let prepare t ~txid ~coordinator_site ~files =
       groups
   in
   remove t txid;
-  t.prepared <- (txid, { intentions; log_refs; coordinator_site }) :: t.prepared;
-  true
+  if intentions = [] then Read_only
+  else begin
+    t.prepared <- (txid, { intentions; log_refs; coordinator_site }) :: t.prepared;
+    Prepared
+  end
 
 let drop_log_refs t entry =
   List.iter

@@ -22,8 +22,14 @@ val set_prepare_log_per_file : t -> bool -> unit
     one per volume. Default [false] (one per volume, the paper's intended
     design). *)
 
+type vote =
+  | Prepared  (** intentions flushed and logged; phase 2 must follow *)
+  | Read_only
+      (** nothing to commit here: no prepare record, no prepared entry,
+          and the transaction needs no phase 2 at this site *)
+
 val prepare :
-  t -> txid:Txid.t -> coordinator_site:int -> files:File_id.t list -> bool
+  t -> txid:Txid.t -> coordinator_site:int -> files:File_id.t list -> vote
 (** Flush dirty pages, build intentions, write prepare log record(s) —
     one log I/O per involved volume (Figure 5 step 3). Returns the vote.
     Must run in a fiber. *)

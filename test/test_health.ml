@@ -223,7 +223,10 @@ let alarm_events hist =
 
 let test_kill_coordinator_raises_in_doubt_alarm () =
   let window = 100_000 in
-  let spec = W.gen ~seed:42 ~sites:3 () in
+  (* Spec seed 43: the killed coordinator's first decided transaction
+     updates at a participant. (Seed 42's only reads, and a read-only
+     participant keeps no prepared state to strand.) *)
+  let spec = W.gen ~seed:43 ~sites:3 () in
   let hist, sim =
     W.run
       ~fault:(W.Kill_coordinator { after_decides = 1 })

@@ -711,3 +711,129 @@ let delegation_tests =
     ] )
 
 let suite = suite @ [ delegation_tests ]
+
+(* {1 Read-only participants (§4.2 commit)}
+
+   A site the transaction only read votes read-only: it releases the
+   transaction's locks at prepare, keeps no prepared state and gets no
+   phase 2 (Gray–Lamport). /a lives at site 1 and /b at site 2; the
+   transaction runs at site 0. *)
+
+module O = Locus_otrace.Otrace
+
+let spans_named otr name =
+  List.filter_map
+    (fun (_, _, n, _, site, start, _) -> if n = name then Some (site, start) else None)
+    (O.spans otr)
+
+(* The transaction writes /a and reads /b under a Shared lock, then
+   commits while a process at site 2 waits for an Exclusive lock on the
+   same bytes of /b. Returns the commit outcome, when that lock was
+   granted, and the tracer. *)
+let run_write_a_read_b config =
+  let sim = L.make ~n_sites:3 ~config () in
+  let cl = sim.L.cluster in
+  let otr = O.create (K.engine cl) in
+  K.set_otracer cl (Some otr);
+  let result = ref None and granted_at = ref None in
+  ignore
+    (Api.spawn_process cl ~site:0 ~name:"client" (fun env ->
+         let a = Api.creat env "/a" ~vid:1 in
+         let b = Api.creat env "/b" ~vid:2 in
+         Api.write_string env b "BBBB";
+         Api.commit_file env b;
+         Api.begin_trans env;
+         Api.seek env b ~pos:0;
+         must_lock env b ~len:4 ~mode:M.Shared;
+         ignore (Api.pread env b ~pos:0 ~len:4);
+         Api.write_string env a "AAAA";
+         let writer =
+           Api.spawn_process (Api.cluster env) ~site:2 ~name:"writer" (fun q ->
+               let c = Api.open_file q "/b" in
+               Api.seek q c ~pos:0;
+               must_lock q c ~len:4 ~mode:M.Exclusive;
+               granted_at := Some (L.Engine.now (K.engine (Api.cluster q)));
+               Api.close q c)
+         in
+         Engine.sleep 1_000_000;
+         result := Some (Api.end_trans env);
+         Api.wait_pid env writer));
+  L.run sim;
+  (!result, !granted_at, otr)
+
+let check_read_only_participant config =
+  let result, granted_at, otr = run_write_a_read_b config in
+  Alcotest.(check (option outcome)) "committed" (Some K.Committed) result;
+  let granted_at =
+    match granted_at with Some t -> t | None -> Alcotest.fail "X lock never granted"
+  in
+  (match spans_named otr "commit2" with
+  | [ (1, phase2_at) ] ->
+    Alcotest.(check bool) "X lock at B granted before A's phase 2" true
+      (granted_at < phase2_at)
+  | l -> Alcotest.failf "expected one commit2, at site 1; got %d" (List.length l));
+  Alcotest.(check int) "B received no phase 2" 0
+    (List.length
+       (List.filter (fun (s, _) -> s = 2)
+          (spans_named otr "commit2" @ spans_named otr "abort2")))
+
+let test_read_only_participant_releases_at_prepare () =
+  check_read_only_participant (K.Config.default ~n_sites:3)
+
+let test_read_only_participant_paxos () =
+  check_read_only_participant (K.Config.with_paxos ~f:1 (K.Config.default ~n_sites:3))
+
+let test_read_only_transaction_skips_force () =
+  let sim = L.make ~n_sites:3 () in
+  let cl = sim.L.cluster in
+  let otr = O.create (K.engine cl) in
+  let result = ref None in
+  ignore
+    (Api.spawn_process cl ~site:0 ~name:"client" (fun env ->
+         let a = Api.creat env "/a" ~vid:1 in
+         let b = Api.creat env "/b" ~vid:2 in
+         List.iter
+           (fun c ->
+             Api.write_string env c "data";
+             Api.commit_file env c)
+           [ a; b ];
+         K.set_otracer (Api.cluster env) (Some otr);
+         Api.begin_trans env;
+         List.iter
+           (fun c ->
+             Api.seek env c ~pos:0;
+             must_lock env c ~len:4 ~mode:M.Shared;
+             ignore (Api.pread env c ~pos:0 ~len:4))
+           [ a; b ];
+         result := Some (Api.end_trans env)));
+  L.run sim;
+  Alcotest.(check (option outcome)) "committed" (Some K.Committed) !result;
+  Alcotest.(check int) "both sites prepared" 2
+    (List.length (spans_named otr "prepare"));
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " never ran") 0
+        (List.length (spans_named otr name)))
+    [ "commit.force"; "2pc.phase2"; "commit2"; "abort2" ];
+  List.iter
+    (fun (site, path) ->
+      match K.lock_table (K.kernel cl site) (Option.get (K.lookup cl path)) with
+      | Some t ->
+        Alcotest.(check int) (path ^ " locks released") 0
+          (Locus_lock.Lock_table.lock_count t)
+      | None -> ())
+    [ (1, "/a"); (2, "/b") ]
+
+let suite =
+  suite
+  @ [
+      ( "kernel.read_only",
+        [
+          Alcotest.test_case "participant releases at prepare" `Quick
+            test_read_only_participant_releases_at_prepare;
+          Alcotest.test_case "participant under paxos f=1" `Quick
+            test_read_only_participant_paxos;
+          Alcotest.test_case "transaction skips the commit force" `Quick
+            test_read_only_transaction_skips_force;
+        ] );
+    ]

@@ -285,6 +285,43 @@ let test_waits_for () =
       (List.sort Owner.compare b3)
   | _ -> Alcotest.fail "expected two wait entries"
 
+(* Gray's conversion rule: T1 holds S(r) with T3, T2 queues X(r) behind
+   both, then T1 asks X(r). T2 is blocked on T1's own S lock, so queueing
+   T1 behind T2 would deadlock the pair; once T3 leaves, T1 converts
+   first and the wait-for graph never shows T1 -> T2. *)
+let test_conversion_first () =
+  let t = LT.create fid in
+  let s_lock o =
+    ignore (LT.request t ~owner:o ~pid:p1 ~mode:M.Shared ~range:(br 0 10)
+              ~non_transaction:false)
+  in
+  s_lock (tx 1);
+  s_lock (tx 3);
+  let t2 = ref None and t1 = ref None in
+  ignore
+    (LT.enqueue t ~owner:(tx 2) ~pid:p2 ~mode:M.Exclusive ~range:(br 0 10)
+       ~non_transaction:false ~notify:(fun ok -> t2 := Some ok));
+  ignore
+    (LT.enqueue t ~owner:(tx 1) ~pid:p1 ~mode:M.Exclusive ~range:(br 0 10)
+       ~non_transaction:false ~notify:(fun ok -> t1 := Some ok));
+  Alcotest.(check (option bool)) "T1 waits for T3" None !t1;
+  let blockers_of o =
+    List.concat_map (fun (w, bs) -> if Owner.equal w o then bs else [])
+      (LT.waits_for t)
+  in
+  Alcotest.(check (list owner)) "T1 waits on T3 only, not on T2" [ tx 3 ]
+    (blockers_of (tx 1));
+  Alcotest.(check (list owner)) "T2 waits on both S holders" [ tx 1; tx 3 ]
+    (blockers_of (tx 2));
+  LT.release_owner t (tx 3);
+  Alcotest.(check (option bool)) "T1 converts to X" (Some true) !t1;
+  Alcotest.(check (option bool)) "T2 still waits" None !t2;
+  Alcotest.(check bool) "no T1 -> T2 edge" false
+    (List.exists (Owner.equal (tx 2)) (blockers_of (tx 1)));
+  Alcotest.(check (list owner)) "T2 now waits on T1" [ tx 1 ] (blockers_of (tx 2));
+  LT.release_owner t (tx 1);
+  Alcotest.(check (option bool)) "then T2" (Some true) !t2
+
 let test_release_process () =
   let t = LT.create fid in
   ignore (LT.request t ~owner:(proc p1) ~pid:p1 ~mode:M.Exclusive ~range:(br 0 10)
@@ -356,6 +393,7 @@ let suite =
         Alcotest.test_case "may read/write" `Quick test_may_read_write;
         Alcotest.test_case "waits_for" `Quick test_waits_for;
         Alcotest.test_case "release process" `Quick test_release_process;
+        Alcotest.test_case "conversion first" `Quick test_conversion_first;
         QCheck_alcotest.to_alcotest prop_no_incompatible_grants;
       ] );
   ]

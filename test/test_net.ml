@@ -65,18 +65,45 @@ let test_no_handler () =
   | _ -> Alcotest.fail "expected No_handler"
 
 let test_crash_drops_messages () =
-  let got = ref None in
+  let got = ref None and t_done = ref 0 in
   with_net (fun e net ->
-      ignore (E.spawn e (fun () -> got := Some (T.rpc net ~src:0 ~dst:1 (Slow 3))));
+      ignore
+        (E.spawn e (fun () ->
+             got := Some (T.rpc net ~src:0 ~dst:1 (Slow 3));
+             t_done := E.now e));
       (* Crash the server mid-service: its handler fiber dies and the
          reply never arrives. *)
       ignore
         (E.spawn e (fun () ->
              E.sleep 20_000;
              T.crash net 1)));
-  match !got with
+  (match !got with
   | Some (Error T.Timeout) -> ()
-  | _ -> Alcotest.fail "expected timeout after crash"
+  | _ -> Alcotest.fail "expected timeout after crash");
+  (* The crash is detected: the call fails then, not after the timeout. *)
+  Alcotest.(check int) "failed at the crash" 20_000 !t_done
+
+(* A partition fails exactly the calls it cuts off, at once; a call on a
+   link that stays connected completes normally. *)
+let test_partition_cuts_inflight_rpc () =
+  let cut = ref None and kept = ref None and t_cut = ref 0 in
+  with_net (fun e net ->
+      ignore
+        (E.spawn e (fun () ->
+             cut := Some (T.rpc net ~src:0 ~dst:1 (Slow 1));
+             t_cut := E.now e));
+      ignore (E.spawn e (fun () -> kept := Some (T.rpc net ~src:1 ~dst:2 (Slow 2))));
+      ignore
+        (E.spawn e (fun () ->
+             E.sleep 20_000;
+             T.partition net [ [ 0 ]; [ 1; 2 ] ])));
+  (match !cut with
+  | Some (Error T.Timeout) -> ()
+  | _ -> Alcotest.fail "expected the cut call to fail");
+  Alcotest.(check int) "failed at the partition" 20_000 !t_cut;
+  match !kept with
+  | Some (Ok (Val 2)) -> ()
+  | _ -> Alcotest.fail "call inside one side of the partition must complete"
 
 let test_crash_watchers () =
   let crashed = ref [] and restarted = ref [] and topo = ref 0 in
@@ -304,6 +331,8 @@ let suite =
         Alcotest.test_case "crash watchers" `Quick test_crash_watchers;
         Alcotest.test_case "partition" `Quick test_partition;
         Alcotest.test_case "partition blocks rpc" `Quick test_partition_blocks_rpc;
+        Alcotest.test_case "partition cuts in-flight rpc" `Quick
+          test_partition_cuts_inflight_rpc;
         Alcotest.test_case "successive partitions" `Quick
           test_successive_partitions_disjoint;
         Alcotest.test_case "incarnation fencing" `Quick test_incarnation_fencing;

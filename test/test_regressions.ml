@@ -288,3 +288,71 @@ let suite =
             test_crashed_site_waiter_not_granted;
         ] );
     ]
+
+(* Bug 9: an RPC whose destination crashed while handling the request
+   waited out the full 30 s rpc timeout, although the transport had
+   already detected the topology change. A coordinator's Prepare to a
+   participant that crashed mid-handler hung that long; meanwhile the
+   restarted participant, prepared and in doubt, could not finish its
+   recovery until the coordinator finally decided. Found on the
+   failover-open benchmark workload (seed 5, part 11). *)
+let test_prepare_to_crashed_participant_fails_fast () =
+  let sim = L.make ~n_sites:3 () in
+  let cl = sim.L.cluster in
+  let e = K.engine cl in
+  let otr = Locus_otrace.Otrace.create e in
+  K.set_otracer cl (Some otr);
+  let crashed_at = ref None and restarted_at = ref 0 and decided = ref None in
+  (K.hooks cl).K.on_participant_prepared <-
+    (fun site _ _ ->
+      if site = 2 && !crashed_at = None then begin
+        (* Prepared and logged, but the vote never leaves. *)
+        crashed_at := Some (E.now e);
+        E.schedule ~delay:2_000_000 e (fun () ->
+            restarted_at := E.now e;
+            K.restart_site cl 2);
+        K.crash_site cl 2
+      end);
+  (K.hooks cl).K.on_decided <-
+    (fun _ status -> if !decided = None then decided := Some (status, E.now e));
+  let result = ref None in
+  ignore
+    (Api.spawn_process cl ~site:0 ~name:"client" (fun env ->
+         let a = Api.creat env "/a" ~vid:1 in
+         let b = Api.creat env "/b" ~vid:2 in
+         Api.begin_trans env;
+         Api.write_string env a "AAAA";
+         Api.write_string env b "BBBB";
+         result := Some (Api.end_trans env)));
+  L.run sim;
+  let crashed_at = Option.get !crashed_at in
+  Alcotest.(check bool) "client saw the abort" true (!result = Some K.Aborted);
+  (match !decided with
+  | Some (Locus_txn.Log_record.Aborted, at) ->
+    Alcotest.(check bool) "abort decided within 1 virtual s of the crash" true
+      (at - crashed_at <= 1_000_000)
+  | _ -> Alcotest.fail "coordinator did not decide abort");
+  let recovery_done =
+    List.filter_map
+      (fun (_, _, name, _, site, start, stop) ->
+        if name = "recovery" && site = 2 && start >= !restarted_at then Some stop
+        else None)
+      (Locus_otrace.Otrace.spans otr)
+  in
+  (match recovery_done with
+  | [ stop ] ->
+    Alcotest.(check bool) "participant recovered within 3 s of restart" true
+      (stop - !restarted_at <= 3_000_000)
+  | _ -> Alcotest.fail "expected one recovery pass at site 2");
+  Alcotest.(check int) "nobody left in doubt" 0
+    (List.length (K.in_doubt_participants cl))
+
+let suite =
+  suite
+  @ [
+      ( "regressions.failfast",
+        [
+          Alcotest.test_case "prepare to crashed participant" `Quick
+            test_prepare_to_crashed_participant_fails_fast;
+        ] );
+    ]

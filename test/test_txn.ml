@@ -104,7 +104,8 @@ let test_participant_prepare_commit () =
         (Bytes.of_string "money");
       let logs_before = V.io_log_writes vol in
       Alcotest.(check bool) "vote yes" true
-        (P.prepare part ~txid:(txid 1) ~coordinator_site:0 ~files:[ f1 ]);
+        (P.prepare part ~txid:(txid 1) ~coordinator_site:0 ~files:[ f1 ]
+        = P.Prepared);
       (* One prepare-log record for the (single) volume. *)
       Alcotest.(check int) "one log write" (logs_before + 1) (V.io_log_writes vol);
       Alcotest.(check bool) "prepared" true (P.is_prepared part (txid 1));
@@ -122,12 +123,17 @@ let test_participant_read_only_file () =
   with_participant (fun _e store _vol part ->
       let f1 = FS.create_file store ~vid:1 in
       FS.open_file store f1;
-      (* The transaction only read the file: prepare must vote yes without
-         writing any intentions. *)
+      (* The transaction only read the file: prepare votes read-only
+         without writing any intentions, and keeps nothing prepared — not
+         even an empty intention on the file. *)
       Alcotest.(check bool) "vote" true
-        (P.prepare part ~txid:(txid 1) ~coordinator_site:0 ~files:[ f1 ]);
+        (P.prepare part ~txid:(txid 1) ~coordinator_site:0 ~files:[ f1 ]
+        = P.Read_only);
       Alcotest.(check int) "no intentions" 0
         (List.length (P.prepared_intentions part (txid 1)));
+      Alcotest.(check bool) "not prepared" false (P.is_prepared part (txid 1));
+      Alcotest.(check int) "no empty intention on the file" 0
+        (List.length (FS.prepared_intentions store f1));
       P.commit part ~txid:(txid 1))
 
 let test_participant_abort_prepared () =
